@@ -2,8 +2,8 @@
 
 Times both engines on the workload shapes that stress different paths — a
 tiny chain (call overhead), an iteration-heavy slow-mixing chain (the
-dense Gauss-Seidel operator path), state-heavy truncated walks (the CSR
-path and the int64 frontier explorer), the fractional Table 1 shapes
+one-block Gauss-Seidel sweep), state-heavy truncated walks (the Jacobi
+CSR sweep and the int64 frontier explorer), the fractional Table 1 shapes
 riding the scaled-lattice fixed-point explorer, and the slow-mixing
 gambler-N ladder exercising the solve-then-certify oracles — asserting
 bracket agreement and recording every entry to ``BENCH_fixpoint.json``

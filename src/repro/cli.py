@@ -606,8 +606,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--schedule",
         choices=["auto", "jacobi", "gauss-seidel"],
         default="auto",
-        help="CSR sweep schedule above 2048 states: jacobi (default) or "
-        "blocked gauss-seidel (reference schedule, ~half the sweeps)",
+        help="sweep schedule above 2048 states: jacobi (default) or "
+        "blocked gauss-seidel (reference schedule, ~half the sweeps); "
+        "smaller models are one Gauss-Seidel block and always sweep in place",
     )
     p_exact.add_argument(
         "--solver",

@@ -55,30 +55,26 @@ Exploration runs on one of three interchangeable engines producing
   arbitrary magnitudes with exact rational arithmetic.
 
 Both emit COO triplets ``(state, successor, probability)`` plus
-fail/terminate/overflow masks; the value-iteration passes then run as a
-single matrix-times-two-column product per sweep — ``scipy.sparse`` CSR for
-large systems, a dense ``numpy`` matrix when the state count is small
-enough that sparse call overhead dominates — with a sup-norm convergence
-check.
+fail/terminate/overflow masks, assembled into one ``scipy.sparse`` CSR
+matrix at every size; the value-iteration passes then run both bracket
+columns at once per sweep, with a sup-norm convergence check.
 
 The legacy pure-Python engine is preserved in
 :mod:`repro.core.fixpoint_reference` and the equivalence suite keeps all
 paths in lockstep.  The reference sweep updates states in place — a
-Gauss-Seidel schedule.  On the dense path the vectorized engine reproduces
-that schedule *exactly*: with ``A = L + U`` split at the strict lower
-triangle (in BFS state order), one in-place sweep is the affine map
-``x' = (I - L)^{-1} (U x + b)``, and ``(I - L)`` is unit lower triangular,
-hence always invertible, so we precompute ``G = (I - L)^{-1} U`` once and
-sweep with a single matvec.  Iteration counts and converged values then
-match the reference to float rounding.  The CSR path defaults to the
-simultaneous (Jacobi) schedule — same fixed point, monotone from the same
-lattice elements, but slow-mixing chains may need up to ~2x the sweeps of
-the reference.  For those, ``schedule="gauss-seidel"`` runs a *blocked*
-Gauss-Seidel sweep: the state space is cut into contiguous
-``_DENSE_STATE_LIMIT``-sized blocks and each sweep performs one sparse
-triangular solve per block (unit-diagonal ``(I - L_kk)``), which reproduces
-the reference's in-place schedule exactly — at a higher per-sweep cost,
-worthwhile when Jacobi's extra sweeps dominate.
+Gauss-Seidel schedule — and the vectorized engine reproduces it with a
+*blocked* Gauss-Seidel sweep (:func:`repro.core.solvers.gs_sweep`): the
+state space is cut into contiguous ``GS_BLOCK``-sized blocks (in BFS
+state order) and each sweep performs one sparse triangular solve per
+block with the unit-diagonal ``(I - L_kk)``.  A model of at most
+``GS_BLOCK`` states is a single block, so every sweep is exactly the
+reference's in-place update and iteration counts match it (converged
+values agree to the last few ulps — the triangular solve sums in its own
+order).  Larger models default to the simultaneous (Jacobi) schedule —
+same fixed point, monotone from the same lattice elements, cheaper per
+sweep, but slow-mixing chains may need up to ~2x the sweeps of the
+reference; ``schedule="gauss-seidel"`` runs the blocked kernel on them
+too, worthwhile when Jacobi's extra sweeps dominate.
 
 Slow-mixing chains need tens of thousands of sweeps under *any* schedule,
 so ``value_iteration(solver=...)`` adds a solve-then-certify layer
@@ -134,13 +130,10 @@ State = Tuple[str, Tuple[Fraction, ...]]
 #: v3: solve-then-certify value iteration (oracle candidates adopted only
 #: after monotone certification) + the tiny-model explorer heuristic, which
 #: changes ``explore="auto"`` engine selection on small state spaces
-FIXPOINT_FINGERPRINT = "scaled-int64-frontier.certified-solve.v3"
-
-#: below this many states a dense matrix beats CSR (per-call overhead of
-#: scipy.sparse matvecs dominates on iteration-heavy, state-light chains)
-#: and the exact Gauss-Seidel operator (n x n dense) is affordable; it is
-#: also the block size of the blocked Gauss-Seidel CSR schedule
-_DENSE_STATE_LIMIT = 2048
+#: v4: one CSR sweep kernel — small models run the one-block Gauss-Seidel
+#: triangular solve instead of the dense ``(I - L)^{-1}`` operator, which
+#: moves brackets and certificate witnesses at the ulp level
+FIXPOINT_FINGERPRINT = "scaled-int64-frontier.certified-solve.v4"
 
 #: state values beyond this abort the int64 frontier BFS (fallback to the
 #: exact Fraction path); chosen so that every guard/update product stays
@@ -675,7 +668,7 @@ class SparseFixpointModel:
     """
 
     n: int
-    matrix: object  # csr_matrix or np.ndarray, shape (n, n)
+    matrix: csr_matrix  # shape (n, n)
     b_lower: np.ndarray  # per-state affine offset of the lower pass
     b_upper: np.ndarray  # ... of the upper pass (includes overflow mass)
     x0_lower: np.ndarray  # bottom lattice element (fail states pinned to 1)
@@ -711,19 +704,13 @@ class SparseFixpointModel:
 
     @property
     def nnz(self) -> int:
-        return int(self.matrix.nnz) if hasattr(self.matrix, "nnz") else int(
-            np.count_nonzero(self.matrix)
-        )
+        return int(self.matrix.nnz)
 
 
-def _matrix_from_triplets(n: int, rows, cols, probs):
-    """Dense below the cutoff, CSR above — identical triplet order in, so
-    duplicate ``(i, j)`` summation is bit-identical across explorers."""
-    if n <= _DENSE_STATE_LIMIT:
-        matrix: object = np.zeros((n, n))
-        np.add.at(matrix, (rows, cols), probs)
-        return matrix
-    # duplicate (i, j) entries sum, matching successor-list semantics
+def _matrix_from_triplets(n: int, rows, cols, probs) -> csr_matrix:
+    """CSR from COO triplets — identical triplet order in, so duplicate
+    ``(i, j)`` summation (successor-list semantics) is bit-identical across
+    explorers."""
     return csr_matrix((probs, (rows, cols)), shape=(n, n))
 
 
@@ -1179,11 +1166,12 @@ def iterate_model(
 ) -> ValueIterationResult:
     """Run the value-iteration passes over an already-built sparse model.
 
-    ``schedule`` selects the sweep kernel (see :func:`value_iteration`);
-    ``solver`` the solve-then-certify policy:
+    ``schedule`` selects the sweep schedule above ``GS_BLOCK`` states (see
+    :func:`value_iteration`; smaller models always sweep in place, as one
+    Gauss-Seidel block); ``solver`` the solve-then-certify policy:
 
-    * ``"sweep"`` — plain monotone sweeping to ``tol``, exactly the legacy
-      behavior (bit-identical results and iteration counts);
+    * ``"sweep"`` — plain monotone sweeping to ``tol``, the legacy
+      behavior (the reference's iteration counts on one-block models);
     * ``"direct"``/``"sor"``/``"anderson"`` — after a short sweep warmup
       (fast-mixing systems converge inside it and never pay oracle setup),
       run that oracle on ``(I - A) x = [b_lower, b_upper, 1]``, certify the
@@ -1206,18 +1194,8 @@ def iterate_model(
     x = np.stack([model.x0_lower, model.x0_upper], axis=1)
     b = np.stack([model.b_lower, model.b_upper], axis=1)
     matrix = model.matrix
-    if isinstance(matrix, np.ndarray):
-        # dense path: precompute the exact Gauss-Seidel sweep operator so the
-        # schedule (and hence iteration counts) matches the reference engine
-        strict_lower = np.tril(matrix, k=-1)
-        sweep_inv = np.linalg.inv(np.eye(n) - strict_lower)
-        op = sweep_inv @ (matrix - strict_lower)
-        off = sweep_inv @ b
-
-        def sweep(v):
-            return op @ v + off
-
-    elif schedule == "gauss-seidel":
+    if n <= _solvers.GS_BLOCK or schedule == "gauss-seidel":
+        # one block on small models: exactly the reference's in-place sweep
         blocks = _solvers.gs_blocks(matrix, n)
 
         def sweep(v):
@@ -1377,16 +1355,17 @@ def value_iteration(
     """Compute a rigorous bracket on ``vpf(l_init, v_init)`` by iterating
     ``ptf`` from bottom and from top over the explored state space.
 
-    Both passes run simultaneously as one matrix product over a two-column
-    array per sweep; convergence is a sup-norm check at ``tol``.
+    Both passes run simultaneously over a two-column array per sweep;
+    convergence is a sup-norm check at ``tol``.
 
     ``explore`` selects the exploration engine (see
-    :func:`build_sparse_model`).  ``schedule`` selects the CSR sweep
-    schedule: ``"jacobi"`` (the ``"auto"`` default — simultaneous updates,
-    cheapest sweep) or ``"gauss-seidel"`` (blocked triangular solves
-    reproducing the reference's in-place schedule, worthwhile on
-    slow-mixing chains).  The dense path (``n <= 2048``) always uses the
-    exact Gauss-Seidel operator regardless of ``schedule``.  ``solver``
+    :func:`build_sparse_model`).  ``schedule`` selects the sweep schedule
+    of models above ``GS_BLOCK`` (2048) states: ``"jacobi"`` (the
+    ``"auto"`` default — simultaneous updates, one CSR matvec per sweep)
+    or ``"gauss-seidel"`` (blocked triangular solves reproducing the
+    reference's in-place schedule, worthwhile on slow-mixing chains).
+    Models of at most ``GS_BLOCK`` states always run the one-block
+    Gauss-Seidel sweep, whatever ``schedule`` says.  ``solver``
     selects the solve-then-certify policy (see :func:`iterate_model`):
     ``"sweep"`` is the legacy pure-sweeping engine, the others accelerate
     slow-mixing systems through certified oracle candidates without

@@ -99,12 +99,6 @@ _SLACK_CAP = SLACK_CAP
 #: candidate ``w`` may be off by half its magnitude and still certify
 WITNESS_MARGIN = 0.5
 
-#: dense systems at or below this order use ``numpy.linalg.solve``; larger
-#: dense matrices are converted to CSR for the (near-fill-free under the
-#: BFS ordering) SuperLU NATURAL factorization instead of paying the
-#: O(n^3) dense solve
-_DENSE_SOLVE_LIMIT = 512
-
 #: iteration caps of the iterative oracles (they stop early at tolerance;
 #: certification makes a non-converged candidate safe, just useless)
 _SOR_SWEEP_CAP = 4096
@@ -120,8 +114,9 @@ _SOR_DIVERGENCE_LIMIT = 1e6
 #: power-iteration steps of the SOR spectral-radius estimate
 _RHO_ESTIMATE_SWEEPS = 24
 
-#: block size of the blocked Gauss-Seidel CSR schedule (mirrors the dense
-#: cutoff of the fixpoint engine; one sparse triangular solve per block)
+#: block size of the blocked Gauss-Seidel sweep (one sparse triangular
+#: solve per block); models of at most this many states are one block and
+#: always sweep in place, larger ones only under ``schedule="gauss-seidel"``
 GS_BLOCK = 2048
 
 
@@ -138,47 +133,55 @@ class OracleFailure(Exception):
 
 def gs_blocks(matrix, n: int) -> List[Tuple]:
     """Per-block data of the blocked Gauss-Seidel sweep: contiguous
-    ``GS_BLOCK``-sized row blocks, each with its rows as CSR, its strict
-    in-block lower triangle, and a SuperLU factorization of the
-    unit-lower-triangular ``(I - L_kk)`` under the NATURAL ordering (the
-    factorization of a triangular matrix is itself, so this is setup-free
-    in exact arithmetic and ``lu.solve`` is an order of magnitude faster
-    per sweep than ``spsolve_triangular``)."""
-    from scipy.sparse import eye, tril
+    ``GS_BLOCK``-sized row blocks, each split (entries moved, never summed)
+    into its strict in-block lower triangle ``L_kk`` and the rest ``R_k``
+    of its rows, plus a SuperLU factorization of the unit-lower-triangular
+    ``(I - L_kk)`` under the NATURAL ordering (the factorization of a
+    triangular matrix is itself, so this is setup-free in exact arithmetic
+    and ``lu.solve`` is an order of magnitude faster per sweep than
+    ``spsolve_triangular``)."""
+    from scipy.sparse import csr_matrix, eye
     from scipy.sparse.linalg import splu
 
     blocks = []
     for s in range(0, n, GS_BLOCK):
         e = min(n, s + GS_BLOCK)
-        row_block = matrix[s:e, :].tocsr()
-        strict_lower = tril(matrix[s:e, s:e], k=-1, format="csr")
-        if strict_lower.nnz:
+        rows = matrix[s:e, :].tocoo()
+        in_lower = (rows.col >= s) & (rows.col < rows.row + s)
+        rest = csr_matrix(
+            (rows.data[~in_lower], (rows.row[~in_lower], rows.col[~in_lower])),
+            shape=rows.shape,
+        )
+        if in_lower.any():
+            strict_lower = csr_matrix(
+                (
+                    rows.data[in_lower],
+                    (rows.row[in_lower], rows.col[in_lower] - s),
+                ),
+                shape=(e - s, e - s),
+            )
             solver = splu(
                 (eye(e - s, format="csr") - strict_lower).tocsc(),
                 permc_spec="NATURAL",
             )
-            blocks.append((s, e, row_block, strict_lower, solver))
+            blocks.append((s, e, rest, solver))
         else:
-            blocks.append((s, e, row_block, None, None))
+            blocks.append((s, e, rest, None))
     return blocks
 
 
 def gs_sweep(blocks, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     """One blocked Gauss-Seidel sweep ``x -> x'`` (input left untouched).
 
-    Earlier blocks are updated in place before later ones read them and
-    the in-block strict-lower contribution is solved implicitly, so a full
-    sweep uses the *latest* value for every already-visited state —
-    exactly the reference engine's in-place schedule."""
-    x_prev = x
+    Earlier blocks are updated in place before later ones read them
+    (through ``R_k``) and the in-block strict-lower contribution is solved
+    implicitly, so a full sweep uses the *latest* value for every
+    already-visited state — exactly the reference engine's in-place
+    schedule."""
     x = x.copy()
-    for s, e, row_block, strict_lower, solver in blocks:
-        rhs = row_block @ x + b[s:e]
-        if strict_lower is not None:
-            rhs -= strict_lower @ x_prev[s:e]
-            x[s:e] = solver.solve(rhs)
-        else:
-            x[s:e] = rhs
+    for s, e, rest, solver in blocks:
+        rhs = rest @ x + b[s:e]
+        x[s:e] = rhs if solver is None else solver.solve(rhs)
     return x
 
 
@@ -188,20 +191,17 @@ def gs_sweep(blocks, x: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _oracle_direct(matrix, rhs: np.ndarray, n: int) -> np.ndarray:
-    """Solve ``(I - A) x = rhs`` directly: LAPACK for small dense systems,
-    SuperLU with the NATURAL column ordering otherwise — the BFS state
-    order makes ``I - A`` nearly lower triangular, so natural-order LU
-    fill stays around 2x the matrix nnz where COLAMD pays 8x."""
-    from scipy.sparse import csr_matrix, identity
+    """Solve ``(I - A) x = rhs`` directly with SuperLU under the NATURAL
+    column ordering — the BFS state order makes ``I - A`` nearly lower
+    triangular, so natural-order LU fill stays around 2x the matrix nnz
+    where COLAMD pays 8x."""
+    from scipy.sparse import identity
     from scipy.sparse.linalg import splu
 
     try:
-        if isinstance(matrix, np.ndarray) and n <= _DENSE_SOLVE_LIMIT:
-            return np.linalg.solve(np.eye(n) - matrix, rhs)
-        sparse = csr_matrix(matrix) if isinstance(matrix, np.ndarray) else matrix
-        lu = splu((identity(n, format="csr") - sparse).tocsc(), permc_spec="NATURAL")
+        lu = splu((identity(n, format="csr") - matrix).tocsc(), permc_spec="NATURAL")
         return lu.solve(rhs)
-    except (np.linalg.LinAlgError, RuntimeError, MemoryError, ValueError) as exc:
+    except (RuntimeError, MemoryError, ValueError) as exc:
         raise OracleFailure(f"direct solve failed: {exc}") from None
 
 
@@ -230,20 +230,13 @@ def _oracle_sor(
     omega (A - L)) x + omega rhs`` — the component-wise SOR schedule, with
     the strict-lower contribution implicit exactly as in the blocked
     Gauss-Seidel kernel."""
-    def make_sweep(omega):
-        if isinstance(matrix, np.ndarray):
-            strict_lower = np.tril(matrix, k=-1)
-            m_inv = np.linalg.inv(np.eye(n) - omega * strict_lower)
-            op = m_inv @ (
-                (1.0 - omega) * np.eye(n) + omega * (matrix - strict_lower)
-            )
-            off = m_inv @ (omega * rhs)
-            return lambda v: op @ v + off
-        from scipy.sparse import csr_matrix, identity, tril
-        from scipy.sparse.linalg import splu
+    from scipy.sparse import identity, tril
+    from scipy.sparse.linalg import splu
 
-        strict_lower = tril(matrix, k=-1, format="csr")
-        upper = csr_matrix(matrix - strict_lower)
+    strict_lower = tril(matrix, k=-1, format="csr")
+    upper = (matrix - strict_lower).tocsr()
+
+    def make_sweep(omega):
         try:
             lu = splu(
                 (identity(n, format="csr") - omega * strict_lower).tocsc(),
@@ -399,10 +392,10 @@ def certify_bracket(
     ladder = [m * base for m in SLACK_MULTIPLES]
     ladder[-1] = max(ladder[-1], _SLACK_CAP / w_max)
     # strict-improvement floor/ceiling: sweep iterates can overshoot the
-    # [0, 1] lattice by an ulp (the dense GS operator rounds), and a
-    # garbage trial clipped to the lattice top would read as "improving"
-    # on a 1 + ulp iterate — measure improvement against the clamped
-    # iterate so vacuous all-zeros/all-ones trials are always rejections
+    # [0, 1] lattice by an ulp (sweep rounding), and a garbage trial
+    # clipped to the lattice top would read as "improving" on a 1 + ulp
+    # iterate — measure improvement against the clamped iterate so
+    # vacuous all-zeros/all-ones trials are always rejections
     lower_floor = np.maximum(x[:, 0], 0.0)
     upper_ceil = np.minimum(x[:, 1], 1.0)
     for eps in ladder:

@@ -57,7 +57,11 @@ _RESOLVE_MEMO_CAP = 64  # > the 36 specs of a full `runner all` sweep
 #: and the cache stores certificates as ``*.cert.json`` sidecar blobs
 #: reattached on read; v4 pickles lack the field and have no sidecar, so
 #: they must read as misses.
-CACHE_KEY_VERSION = 5
+#: v6: one CSR sweep kernel — models of <= 2048 states run the one-block
+#: Gauss-Seidel triangular solve instead of the dense operator, so
+#: brackets and certificate witness bytes move at the ulp level and v5
+#: artifacts must read as misses.
+CACHE_KEY_VERSION = 6
 
 
 def _fixpoint_fingerprint() -> str:

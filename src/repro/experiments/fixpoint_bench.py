@@ -24,10 +24,10 @@ __all__ = [
 ]
 
 #: name -> (source, default max_states, integer_mode): small /
-#: iteration-heavy / state-heavy, covering both the dense and the CSR
-#: engine paths, plus two 100k-state all-integer Table 1 shapes where the
-#: int64 frontier explorer shows its headroom over the exact Fraction BFS,
-#: and the three fractional Table 1 shapes the scaled-lattice (fixed-point
+#: iteration-heavy / state-heavy, covering both the one-block
+#: Gauss-Seidel and the Jacobi sweep, plus two 100k-state all-integer
+#: Table 1 shapes where the int64 frontier explorer shows its headroom
+#: over the exact Fraction BFS, and the three fractional Table 1 shapes the scaled-lattice (fixed-point
 #: int64) admission opened up (see ``PERFORMANCE.md``).  ``integer_mode``
 #: mirrors the program registry: fractional-step programs must keep their
 #: strict guards un-tightened.

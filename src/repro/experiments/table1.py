@@ -37,7 +37,7 @@ from repro.core import (
     hoeffding_synthesis,
 )
 from repro.errors import SynthesisError
-from repro.programs import BenchmarkInstance, get_benchmark
+from repro.programs import benchmark_family, get_benchmark
 from repro.experiments.reference import TABLE1, PaperRow, ln_to_log10
 
 __all__ = [
@@ -80,12 +80,16 @@ def _deviation_baseline(name: str, params: Dict) -> float:
     return cs13_deviation_bound(60, float(params["deviation"]), 0.1)
 
 
-def _concentration_baseline(instance: BenchmarkInstance, params: Dict) -> float:
-    return cfnh18_best_bound(instance.pts, instance.invariants, float(params["n"]))
-
-
-def _stoinv_baseline(instance: BenchmarkInstance, params: Dict) -> float:
-    return azuma_baseline(instance.pts, instance.invariants).log_bound
+def _baseline(name: str, family: str, params: Dict, resolve) -> float:
+    """The previous-work bound of one row; ``resolve()`` yields the row's
+    ``(pts, invariants)`` and is only called by the families that read
+    them."""
+    if family == "Deviation":
+        return _deviation_baseline(name, params)
+    pts, invariants = resolve()
+    if family == "Concentration":
+        return cfnh18_best_bound(pts, invariants, float(params["n"]))
+    return azuma_baseline(pts, invariants).log_bound
 
 
 #: (benchmark name, factory kwargs, paper param label)
@@ -153,12 +157,12 @@ def run_row(
     row.sec52_seconds = time.perf_counter() - start
     if with_baseline:
         try:
-            if instance.family == "Deviation":
-                row.baseline_ln = _deviation_baseline(name, kwargs)
-            elif instance.family == "Concentration":
-                row.baseline_ln = _concentration_baseline(instance, kwargs)
-            else:
-                row.baseline_ln = _stoinv_baseline(instance, kwargs)
+            row.baseline_ln = _baseline(
+                name,
+                instance.family,
+                kwargs,
+                lambda: (instance.pts, instance.invariants),
+            )
         except Exception as exc:
             row.error = (row.error + f" baseline: {exc}").strip()
     return row
@@ -169,16 +173,12 @@ def synthesize_baseline(task, deps=None, engine=None):
     previous-work bound for the task's benchmark family."""
     from repro.engine.task import CertificateResult
 
-    kwargs = dict(task.program.params)
+    name = task.program.name
     start = time.perf_counter()
     try:
-        instance = get_benchmark(task.program.name, **kwargs)
-        if instance.family == "Deviation":
-            ln = _deviation_baseline(task.program.name, kwargs)
-        elif instance.family == "Concentration":
-            ln = _concentration_baseline(instance, kwargs)
-        else:
-            ln = _stoinv_baseline(instance, kwargs)
+        family = benchmark_family(name)
+        # resolve() hits the per-process memo its sibling row tasks fill
+        ln = _baseline(name, family, dict(task.program.params), task.program.resolve)
     except Exception as exc:
         return CertificateResult.failure(task, exc, seconds=time.perf_counter() - start)
     return CertificateResult(
@@ -186,7 +186,7 @@ def synthesize_baseline(task, deps=None, engine=None):
         status="ok",
         log_bound=float(ln),
         seconds=time.perf_counter() - start,
-        solver_info=f"{instance.family} baseline",
+        solver_info=f"{family} baseline",
     )
 
 
@@ -231,7 +231,6 @@ def row_tasks(
 
 def _assemble_row(
     name: str,
-    kwargs: Dict,
     label: str,
     results,
     with_hoeffding: bool,
@@ -259,10 +258,9 @@ def _assemble_row(
         raise SynthesisError(f"Table 1 row {name} {label}: {sec52.error}")
     row.sec52_ln = sec52.log_bound
     row.sec52_seconds = sec52.seconds
-    # the engine resolves the benchmark inside the worker; recover the
-    # family from it when the row has no paper reference
+    # rows without a paper reference take the registered family
     if not row.family:
-        row.family = get_benchmark(name, **kwargs).family
+        row.family = benchmark_family(name)
     if with_baseline:
         baseline = results[f"{base}/baseline"]
         if baseline.ok:
@@ -300,8 +298,8 @@ def run_table1(
     with engine_scope(engine, jobs=jobs) as eng:
         results = eng.run(tasks)
     return [
-        _assemble_row(name, kwargs, label, results, with_hoeffding, with_baseline)
-        for name, kwargs, label in specs
+        _assemble_row(name, label, results, with_hoeffding, with_baseline)
+        for name, _, label in specs
     ]
 
 

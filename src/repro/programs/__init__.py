@@ -11,6 +11,8 @@ Example::
 from repro.programs.registry import (
     BenchmarkInstance,
     BENCHMARKS,
+    FAMILIES,
+    benchmark_family,
     get_benchmark,
     make_instance,
     register,
@@ -20,6 +22,8 @@ from repro.programs import deviation, concentration, stoinv, hardware  # noqa: F
 __all__ = [
     "BenchmarkInstance",
     "BENCHMARKS",
+    "FAMILIES",
+    "benchmark_family",
     "get_benchmark",
     "make_instance",
     "register",

@@ -13,7 +13,7 @@ from repro.programs.registry import BenchmarkInstance, make_instance, register
 __all__ = ["rdwalk", "coupon", "prspeed"]
 
 
-@register("Rdwalk")
+@register("Rdwalk", family="Concentration")
 def rdwalk(n: int = 400) -> BenchmarkInstance:
     """Figure 2: asymmetric random walk, Pr[T > n]."""
     source = f"""
@@ -27,14 +27,13 @@ while x <= 99:
 """
     return make_instance(
         name="Rdwalk",
-        family="Concentration",
         source=source,
         params={"n": n},
         description=f"Pr[T > {n}] for the asymmetric random walk (drift +1/2)",
     )
 
 
-@register("Coupon")
+@register("Coupon", family="Concentration")
 def coupon(n: int = 100) -> BenchmarkInstance:
     """Figure 9: coupon collector with 5 coupons, Pr[T > n].
 
@@ -74,14 +73,13 @@ while i <= 4:
 """
     return make_instance(
         name="Coupon",
-        family="Concentration",
         source=source,
         params={"n": n},
         description=f"Pr[T > {n}] for the 5-item coupon collector",
     )
 
 
-@register("Prspeed")
+@register("Prspeed", family="Concentration")
 def prspeed(n: int = 150) -> BenchmarkInstance:
     """Figure 10 (reconstructed): random walk with randomized speed.
 
@@ -106,7 +104,6 @@ while x + 3 <= 50:
 """
     return make_instance(
         name="Prspeed",
-        family="Concentration",
         source=source,
         params={"n": n},
         description=f"Pr[T > {n}] for the randomized-speed walk",

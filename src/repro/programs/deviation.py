@@ -27,7 +27,7 @@ from repro.programs.registry import BenchmarkInstance, make_instance, register
 __all__ = ["rdadder", "robot"]
 
 
-@register("RdAdder")
+@register("RdAdder", family="Deviation")
 def rdadder(deviation: int = 25, n: int = 500) -> BenchmarkInstance:
     """Randomized accumulation: X ~ Binomial(n, 1/2), assert X <= n/2 + d."""
     threshold = n // 2 + deviation
@@ -43,7 +43,6 @@ assert x <= {threshold}
 """
     return make_instance(
         name="RdAdder",
-        family="Deviation",
         source=source,
         params={"deviation": deviation},
         description=f"Pr[X - E[X] >= {deviation}] for X ~ Binomial({n}, 1/2)",
@@ -51,7 +50,7 @@ assert x <= {threshold}
     )
 
 
-@register("Robot")
+@register("Robot", family="Deviation")
 def robot(deviation: str = "1.8", n: int = 60) -> BenchmarkInstance:
     """Dead-reckoning robot: position x vs expected position ex.
 
@@ -76,7 +75,6 @@ assert x - ex <= {deviation}
 """
     return make_instance(
         name="Robot",
-        family="Deviation",
         source=source,
         params={"deviation": deviation},
         description=f"Pr[X - E[X] >= {deviation}] for the deadreckoning robot",

@@ -92,13 +92,12 @@ assert x <= 9/1999966
 }
 
 
-@register("fz-queue-surge")
+@register("fz-queue-surge", family="Fuzzed")
 def queue_surge() -> BenchmarkInstance:
     """Saturating queue: arrivals at 56/100 vs service at 32/100 over 22
     ticks; Pr[overflow past 7] ~ 0.4236."""
     return make_instance(
         name="fz-queue-surge",
-        family="Fuzzed",
         source=FUZZED_SOURCES["fz-queue-surge"],
         params={},
         description="fuzz find (birth-death, seed 6): saturating queue overflow",
@@ -106,13 +105,12 @@ def queue_surge() -> BenchmarkInstance:
     )
 
 
-@register("fz-grid-trap")
+@register("fz-grid-trap", family="Fuzzed")
 def grid_trap() -> BenchmarkInstance:
     """5x6 gridworld with a resetting obstacle at (1, 4); Pr[reach the
     far corner region within 17 steps] ~ 0.3301."""
     return make_instance(
         name="fz-grid-trap",
-        family="Fuzzed",
         source=FUZZED_SOURCES["fz-grid-trap"],
         params={},
         description="fuzz find (gridworld, seed 0): obstacle-reset walk",
@@ -120,13 +118,12 @@ def grid_trap() -> BenchmarkInstance:
     )
 
 
-@register("fz-lattice-strain")
+@register("fz-lattice-strain", family="Fuzzed")
 def lattice_strain() -> BenchmarkInstance:
     """Fractional drift in steps of 1/999983 — the scaled-lattice
     admission boundary (cap 1e6); Pr[violation] ~ 0.3326."""
     return make_instance(
         name="fz-lattice-strain",
-        family="Fuzzed",
         source=FUZZED_SOURCES["fz-lattice-strain"],
         params={},
         description="fuzz find (mixed-lattice, seed 2): near-cap scaled admission",

@@ -19,7 +19,7 @@ from repro.programs.registry import BenchmarkInstance, make_instance, register
 __all__ = ["m1dwalk", "newton", "ref"]
 
 
-@register("M1DWalk")
+@register("M1DWalk", family="Hardware")
 def m1dwalk(p: str = "1e-7") -> BenchmarkInstance:
     """Figure 3 / Section 3.3: the asymmetric walk on unreliable hardware."""
     source = f"""
@@ -34,14 +34,13 @@ assert false
 """
     return make_instance(
         name="M1DWalk",
-        family="Hardware",
         source=source,
         params={"p": p},
         description=f"Pr[walk finishes with no hardware fault], fault rate {p}",
     )
 
 
-@register("Newton")
+@register("Newton", family="Hardware")
 def newton(p: str = "5e-4") -> BenchmarkInstance:
     """Figure 11: Newton's iteration on unreliable hardware.
 
@@ -78,14 +77,13 @@ assert false
 """
     return make_instance(
         name="Newton",
-        family="Hardware",
         source=source,
         params={"p": p},
         description=f"Pr[Newton iteration survives 41 rounds], fault rate {p}",
     )
 
 
-@register("Ref")
+@register("Ref", family="Hardware")
 def ref(p: str = "1e-7") -> BenchmarkInstance:
     """Figure 12: the Searchref kernel — 20 x 16 x 16 fallible inner steps
     plus one fallible per-outer-iteration step."""
@@ -114,7 +112,6 @@ assert false
 """
     return make_instance(
         name="Ref",
-        family="Hardware",
         source=source,
         params={"p": p},
         description=f"Pr[Searchref survives], fault rate {p}",

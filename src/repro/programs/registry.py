@@ -17,7 +17,15 @@ from repro.lang import compile_source
 from repro.pts.model import PTS
 from repro.core.invariants import InvariantMap, generate_interval_invariants
 
-__all__ = ["BenchmarkInstance", "make_instance", "BENCHMARKS", "register", "get_benchmark"]
+__all__ = [
+    "BenchmarkInstance",
+    "make_instance",
+    "BENCHMARKS",
+    "FAMILIES",
+    "register",
+    "get_benchmark",
+    "benchmark_family",
+]
 
 
 @dataclass
@@ -40,21 +48,21 @@ class BenchmarkInstance:
 
 def make_instance(
     name: str,
-    family: str,
     source: str,
     params: Dict[str, object],
     description: str = "",
     notes: str = "",
     integer_mode: bool = True,
 ) -> BenchmarkInstance:
-    """Compile a benchmark source and generate its interval invariants."""
+    """Compile a benchmark source and generate its interval invariants
+    (the family is the one ``name`` was registered under)."""
     result = compile_source(source, integer_mode=integer_mode, name=name)
     invariants = generate_interval_invariants(result.pts)
     if result.invariants:
         invariants = invariants.merged_with(result.invariants)
     return BenchmarkInstance(
         name=name,
-        family=family,
+        family=FAMILIES[name],
         params=dict(params),
         pts=result.pts,
         invariants=invariants,
@@ -65,19 +73,23 @@ def make_instance(
 
 BENCHMARKS: Dict[str, Callable[..., BenchmarkInstance]] = {}
 
+#: benchmark name -> family, recorded at registration so callers that only
+#: need the family never compile a program or generate invariants
+FAMILIES: Dict[str, str] = {}
 
-def register(name: str):
+
+def register(name: str, family: str):
     """Decorator registering a benchmark factory under ``name``."""
 
     def wrap(fn: Callable[..., BenchmarkInstance]):
         BENCHMARKS[name] = fn
+        FAMILIES[name] = family
         return fn
 
     return wrap
 
 
-def get_benchmark(name: str, **params) -> BenchmarkInstance:
-    """Instantiate a registered benchmark by name."""
+def _registered(name: str) -> None:
     # import the family modules so their registrations run
     from repro.programs import (  # noqa: F401
         concentration,
@@ -91,4 +103,15 @@ def get_benchmark(name: str, **params) -> BenchmarkInstance:
         raise ModelError(
             f"unknown benchmark {name!r}; available: {sorted(BENCHMARKS)}"
         )
+
+
+def get_benchmark(name: str, **params) -> BenchmarkInstance:
+    """Instantiate a registered benchmark by name."""
+    _registered(name)
     return BENCHMARKS[name](**params)
+
+
+def benchmark_family(name: str) -> str:
+    """The family of a registered benchmark, without instantiating it."""
+    _registered(name)
+    return FAMILIES[name]

@@ -13,7 +13,7 @@ from repro.programs.registry import BenchmarkInstance, make_instance, register
 __all__ = ["walk_1d", "walk_2d", "walk_3d", "race"]
 
 
-@register("1DWalk")
+@register("1DWalk", family="StoInv")
 def walk_1d(x0: int = 10) -> BenchmarkInstance:
     """Figure 6: drift -1/2 walk started at ``x0``; fails if it ever
     climbs past 1000 before absorbing below 0."""
@@ -27,14 +27,13 @@ while x >= 0:
 """
     return make_instance(
         name="1DWalk",
-        family="StoInv",
         source=source,
         params={"x": x0},
         description=f"1D walk from x={x0}: Pr[reach x > 1000 before x < 0]",
     )
 
 
-@register("2DWalk")
+@register("2DWalk", family="StoInv")
 def walk_2d(x0: int = 1000, y0: int = 10) -> BenchmarkInstance:
     """Figure 7: x drifts up, y drifts down; fails if x hits 0 while the
     loop (driven by y >= 1) is still running."""
@@ -54,14 +53,13 @@ while y >= 1:
 """
     return make_instance(
         name="2DWalk",
-        family="StoInv",
         source=source,
         params={"x": x0, "y": y0},
         description=f"2D walk from ({x0}, {y0}): Pr[x reaches 0 before y does]",
     )
 
 
-@register("3DWalk")
+@register("3DWalk", family="StoInv")
 def walk_3d(x0: int = 100, y0: int = 100, z0: int = 100) -> BenchmarkInstance:
     """Figure 8: three coordinates drifting down by 1 w.p. 0.9 and up by
     0.1 w.p. 0.1; fails if the sum ever exceeds 1000."""
@@ -82,7 +80,6 @@ while x >= 0 and y >= 0 and z >= 0:
 """
     return make_instance(
         name="3DWalk",
-        family="StoInv",
         source=source,
         params={"x": x0, "y": y0, "z": z0},
         description=f"3D walk from ({x0}, {y0}, {z0}): Pr[x+y+z > 1000]",
@@ -90,7 +87,7 @@ while x >= 0 and y >= 0 and z >= 0:
     )
 
 
-@register("Race")
+@register("Race", family="StoInv")
 def race(x0: int = 40, y0: int = 0) -> BenchmarkInstance:
     """Figure 1 / Section 3.1: the tortoise-hare race."""
     source = f"""
@@ -105,7 +102,6 @@ assert x >= 100
 """
     return make_instance(
         name="Race",
-        family="StoInv",
         source=source,
         params={"x": x0, "y": y0},
         description=f"tortoise-hare race from ({x0}, {y0}): Pr[hare wins]",

@@ -5,7 +5,8 @@ observationally equivalent to the preserved pure-Python implementation in
 :mod:`repro.core.fixpoint_reference`:
 
 * identical explored state space (count and truncation flag),
-* identical iteration counts on the dense (Gauss-Seidel operator) path,
+* identical iteration counts on one-block (<= 2048-state) models, which
+  sweep in place like the reference (one Gauss-Seidel triangular solve),
 * brackets equal to iteration tolerance — bit-identical on fast-mixing
   programs, <= 1e-9 on slow-mixing ones,
 
@@ -108,9 +109,9 @@ class TestExamplePrograms:
         assert fast.upper == ref.upper
         assert fast.iterations == ref.iterations
 
-    def test_dense_path_matches_iteration_count(self):
-        # dense path precomputes the exact Gauss-Seidel operator, so the
-        # convergence *schedule* — not just the fixpoint — matches (pinned
+    def test_one_block_matches_iteration_count(self):
+        # a one-block model sweeps in place exactly like the reference, so
+        # the convergence *schedule* — not just the fixpoint — matches (pinned
         # to pure sweeps: solver="auto" may adopt a certified oracle
         # candidate and stop early)
         pts = compile_source(GAMBLER, name="gambler").pts

@@ -11,14 +11,18 @@ and loudly under ``explore="int64"``/``explore="scaled"``.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import issparse
 
 from repro.errors import ModelError
 from repro.lang import compile_source
 from repro.core import fixpoint_reference
-from repro.core.fixpoint import build_sparse_model, value_iteration
+from repro.core.fixpoint import build_sparse_model, iterate_model, value_iteration
+from repro.core.solvers import GS_BLOCK
+from repro.programs.fuzzed import FUZZED_SOURCES
 
 from test_fixpoint_equivalence import PROGRAMS
 from test_random_programs import ProgramGenerator
@@ -57,8 +61,19 @@ assert x >= 1
 """
 
 
-def to_dense(matrix):
-    return matrix.toarray() if hasattr(matrix, "toarray") else matrix
+def assert_csr_bit_identical(a, b):
+    """Bitwise CSR equality without densifying (a 50,000-state model would
+    need an 18.6 GiB dense array): same shape and dtype, both canonical
+    (sorted indices, duplicates summed), then ``indptr``, ``indices`` and
+    ``data`` equal byte for byte — exactly as strict as comparing the
+    dense matrices elementwise."""
+    assert a.format == b.format == "csr"
+    assert a.shape == b.shape
+    assert a.dtype == b.dtype
+    assert a.has_canonical_format and b.has_canonical_format
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert a.data.tobytes() == b.data.tobytes()
 
 
 def assert_models_bit_identical(pts, max_states, explore="int64"):
@@ -68,7 +83,7 @@ def assert_models_bit_identical(pts, max_states, explore="int64"):
     assert exact.explored_via == "fraction"
     assert fast.n == exact.n
     assert fast.truncated == exact.truncated
-    assert (to_dense(fast.matrix) == to_dense(exact.matrix)).all()
+    assert_csr_bit_identical(fast.matrix, exact.matrix)
     assert (fast.b_lower == exact.b_lower).all()
     assert (fast.b_upper == exact.b_upper).all()
     assert (fast.x0_lower == exact.x0_lower).all()
@@ -90,9 +105,10 @@ class TestIntegerLatticeBitIdentity:
         assert fast.truncated
 
     def test_value_iteration_matches_reference_bitwise(self):
-        # int64 exploration feeds the same dense Gauss-Seidel operator, so
-        # even the iteration count matches the legacy engine (pure sweeps:
-        # solver="auto" may hand converged oracle candidates back early)
+        # int64 exploration feeds the same one-block Gauss-Seidel sweep —
+        # the reference's in-place schedule — so even the iteration count
+        # matches the legacy engine (pure sweeps: solver="auto" may hand
+        # converged oracle candidates back early)
         pts = compile_source(PROGRAMS["gambler"], name="gambler").pts
         fast = value_iteration(pts, explore="int64", solver="sweep")
         ref = fixpoint_reference.value_iteration(pts)
@@ -108,7 +124,7 @@ class TestIntegerLatticeBitIdentity:
         exact = build_sparse_model(pts, max_states=60_000, explore="fraction")
         assert auto.n == exact.n
         assert auto.truncated == exact.truncated
-        assert (to_dense(auto.matrix) == to_dense(exact.matrix)).all()
+        assert_csr_bit_identical(auto.matrix, exact.matrix)
         assert (auto.b_upper == exact.b_upper).all()
 
 
@@ -151,7 +167,7 @@ class TestFallback:
         assert fast.explored_via == "int64"
         assert fast.truncated
         assert fast.n == exact.n
-        assert (to_dense(fast.matrix) == to_dense(exact.matrix)).all()
+        assert_csr_bit_identical(fast.matrix, exact.matrix)
         assert (fast.b_upper == exact.b_upper).all()
 
     def test_auto_bails_out_on_thin_frontiers(self):
@@ -163,7 +179,7 @@ class TestFallback:
         forced = build_sparse_model(pts, max_states=5_000, explore="int64")
         assert forced.explored_via == "int64"
         assert forced.n == auto.n
-        assert (to_dense(forced.matrix) == to_dense(auto.matrix)).all()
+        assert_csr_bit_identical(forced.matrix, auto.matrix)
         assert forced.index == auto.index
 
     def test_auto_falls_back_when_no_scaled_lattice_exists(self):
@@ -346,8 +362,8 @@ class TestScaledLattice:
         assert pts.enabled_transition(loc, valuation) is not None
 
     def test_value_iteration_scaled_matches_reference_bitwise(self):
-        # scaled exploration feeds the same dense Gauss-Seidel operator, so
-        # even the iteration count matches the legacy engine
+        # scaled exploration feeds the same one-block Gauss-Seidel sweep,
+        # so even the iteration count matches the legacy engine
         pts = compile_source(HALF_STEPS, name="half", integer_mode=False).pts
         fast = value_iteration(pts, max_states=5_000, explore="scaled", solver="sweep")
         ref = fixpoint_reference.value_iteration(pts, max_states=5_000)
@@ -503,7 +519,7 @@ class TestBlockedGaussSeidel:
         jacobi = value_iteration(pts, schedule="jacobi", solver="sweep")
         gs = value_iteration(pts, schedule="gauss-seidel", solver="sweep")
         assert jacobi.states == gs.states
-        assert jacobi.states > 2048  # CSR path, not the dense operator
+        assert jacobi.states > 2048  # above GS_BLOCK: schedule applies
         assert abs(jacobi.lower - gs.lower) <= 1e-9
         assert abs(jacobi.upper - gs.upper) <= 1e-9
         assert jacobi.lower > 0.9  # the bracket is meaningful, not degenerate
@@ -519,12 +535,51 @@ class TestBlockedGaussSeidel:
         assert abs(gs.lower - ref.lower) <= 1e-9
         assert abs(gs.upper - ref.upper) <= 1e-9
 
-    def test_dense_path_ignores_schedule(self):
+    def test_one_block_models_ignore_schedule(self):
         pts = compile_source(PROGRAMS["gambler"], name="gambler").pts
         default = value_iteration(pts, solver="sweep")
         gs = value_iteration(pts, schedule="gauss-seidel", solver="sweep")
         assert default.iterations == gs.iterations
         assert default.lower == gs.lower
+
+
+def _fair_walk(n: int) -> str:
+    # interior 1..n plus the two boundary values and the sinks: n + 4 states
+    return (
+        f"x := 5\nwhile x >= 1 and x <= {n}:\n    switch:\n"
+        "        prob(0.5): x := x + 1\n        prob(0.5): x := x - 1\n"
+        "assert x <= 0"
+    )
+
+
+class TestSweepKernelMemory:
+    """Every model is CSR, whatever its size, and value iteration builds
+    no n x n array: a dense operator ``(I - L)^{-1} U`` on a 1,926-state
+    model costs ~142 MB."""
+
+    @pytest.mark.parametrize("states", [GS_BLOCK, GS_BLOCK + 1])
+    def test_models_on_both_sides_of_the_block_size_are_csr(self, states):
+        pts = compile_source(_fair_walk(states - 4), name="walk").pts
+        model = build_sparse_model(pts)
+        assert model.n == states
+        assert issparse(model.matrix) and model.matrix.format == "csr"
+        result = iterate_model(model)
+        assert result.lower <= result.upper
+
+    def test_grid_trap_peak_memory(self):
+        # fz-grid-trap: 1,926 states, converges in 19 sweeps; the dense
+        # operator peaked at ~142 MB here
+        pts = compile_source(FUZZED_SOURCES["fz-grid-trap"], name="fz-grid-trap").pts
+        tracemalloc.start()
+        try:
+            model = build_sparse_model(pts, max_states=5_000)
+            result = iterate_model(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.n == 1926
+        assert result.tight
+        assert peak < 8 * 2**20
 
 
 class TestEngineFingerprint:
@@ -584,5 +639,5 @@ assert y <= 0
     fast = build_sparse_model(pts, max_states=10_000, explore="int64")
     exact = build_sparse_model(pts, max_states=10_000, explore="fraction")
     assert fast.n == exact.n
-    assert (to_dense(fast.matrix) == to_dense(exact.matrix)).all()
-    assert np.isclose(to_dense(fast.matrix).sum(axis=1).max(), 1.0)
+    assert_csr_bit_identical(fast.matrix, exact.matrix)
+    assert np.isclose(fast.matrix.sum(axis=1).max(), 1.0)

@@ -16,6 +16,7 @@ decides adoption.  These tests attack that boundary directly:
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from repro.lang import compile_source
 from repro.core import solvers
@@ -48,8 +49,9 @@ ORACLE_TOL = {"direct": 1e-9, "sor": 1e-6, "anderson": 1e-6}
 
 def _three_state_chain():
     """``x -> x+1`` w.p. 1/2, absorbed left into fail, right into success:
-    a 3-interior-state fair walk with known exact fixpoint."""
-    matrix = np.array(
+    a 3-interior-state fair walk with known exact fixpoint (CSR, like
+    every model the fixpoint engine builds)."""
+    dense = np.array(
         [
             [0.0, 0.5, 0.0],
             [0.5, 0.0, 0.5],
@@ -58,9 +60,9 @@ def _three_state_chain():
     )
     b = np.column_stack([np.array([0.5, 0.0, 0.0]), np.array([0.5, 0.0, 0.0])])
     # exact lfp of both columns: ruin probabilities (3/4, 1/2, 1/4)
-    exact = np.linalg.solve(np.eye(3) - matrix, b[:, 0])
-    witness = np.linalg.solve(np.eye(3) - matrix, np.ones(3))
-    return matrix, b, exact, witness
+    exact = np.linalg.solve(np.eye(3) - dense, b[:, 0])
+    witness = np.linalg.solve(np.eye(3) - dense, np.ones(3))
+    return csr_matrix(dense), b, exact, witness
 
 
 class TestCertifyBracket:
@@ -170,7 +172,7 @@ class TestOracles:
     def test_singular_system_raises_oracle_failure(self):
         # row sums exactly 1 make I - A singular: the oracle must fail
         # loudly (and the engine fall back), never return garbage silently
-        stochastic = np.array([[0.0, 1.0], [1.0, 0.0]])
+        stochastic = csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         rhs = np.zeros((2, 2))
         with pytest.raises(OracleFailure):
             run_oracle(stochastic, rhs, rhs.copy(), "direct", 2, 1e-12)

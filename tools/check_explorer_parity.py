@@ -32,9 +32,12 @@ from __future__ import annotations
 
 import sys
 
+import numpy as np
+
 #: name -> (source, max_states, integer_mode, forced explore mode).
 #: Budgets are chosen so every workload truncates or absorbs within a few
-#: seconds while still crossing the dense/CSR boundary at least once.
+#: seconds while still crossing the 2048-state one-block boundary of the
+#: Gauss-Seidel sweep at least once.
 WORKLOADS = {
     # Table 1's 3DWalk shape (0.1-steps, scale-10 lattice), truncated
     "3dwalk-slice": (
@@ -91,9 +94,9 @@ WORKLOADS = {
 
 #: name -> (source, max_states, integer_mode, expect auto-certified).
 #: Small bracket workloads stressing the three oracle shapes: a
-#: slow-mixing dense fair walk (the solve-then-certify target regime), a
-#: drifted CSR chain where SOR has to fall back to its omega=1 restart,
-#: and a truncated fragment whose bracket legitimately stays [0, 1].
+#: slow-mixing one-block fair walk (the solve-then-certify target regime),
+#: a drifted Jacobi-swept chain where SOR has to fall back to its omega=1
+#: restart, and a truncated fragment whose bracket legitimately stays [0, 1].
 SOLVER_WORKLOADS = {
     "gambler-120": (
         "x := 30\nwhile x >= 1 and x <= 119:\n    switch:\n"
@@ -134,8 +137,20 @@ SOLVER_TOLERANCES = {
 }
 
 
-def to_dense(matrix):
-    return matrix.toarray() if hasattr(matrix, "toarray") else matrix
+def csr_bit_identical(a, b) -> bool:
+    """Bitwise CSR equality without densifying: same shape and dtype, both
+    canonical, then ``indptr``, ``indices`` and ``data`` equal byte for
+    byte — as strict as an elementwise dense comparison."""
+    return (
+        a.format == b.format == "csr"
+        and a.shape == b.shape
+        and a.dtype == b.dtype
+        and a.has_canonical_format
+        and b.has_canonical_format
+        and np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
+        and a.data.tobytes() == b.data.tobytes()
+    )
 
 
 def compare(name: str, fast, exact) -> list:
@@ -147,7 +162,7 @@ def compare(name: str, fast, exact) -> list:
         problems.append(f"{name}: truncated {fast.truncated} != {exact.truncated}")
     if problems:  # shapes differ: element comparisons would just throw
         return problems
-    if not (to_dense(fast.matrix) == to_dense(exact.matrix)).all():
+    if not csr_bit_identical(fast.matrix, exact.matrix):
         problems.append(f"{name}: transition matrices differ")
     for field in ("b_lower", "b_upper", "x0_lower", "x0_upper"):
         if not (getattr(fast, field) == getattr(exact, field)).all():
